@@ -312,7 +312,11 @@ impl Cluster {
         let active_p = self.lut.active_at(self.cur);
         for core in &mut self.cores {
             let out = core.advance_segment(start, end, freq);
-            self.energy.busy_j += active_p * out.busy.as_secs_f64();
+            // Most cores idle through most segments; adding their `+0.0`
+            // would leave `busy_j` bit-identical, so skip the float work.
+            if !out.busy.is_zero() {
+                self.energy.busy_j += active_p * out.busy.as_secs_f64();
+            }
         }
         self.energy.static_j += self.lut.static_w() * (end - start).as_secs_f64();
     }

@@ -9,17 +9,19 @@
 //! growing an unbounded queue.
 //!
 //! Request bodies are capped at [`MAX_BODY_BYTES`]; anything larger is
-//! answered `413` without being read. Headers are capped too. The
+//! answered `413` without being buffered, and the unread payload is
+//! drained and discarded (bounded) before the close so the reply is not
+//! lost to a connection reset. Headers are capped too. The
 //! matching [`client`] speaks exactly this dialect and is what
 //! `eavsctl` and worker mode use.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest request body accepted, bytes. Campaign specs are ~2 KiB;
 /// 1 MiB leaves two orders of magnitude of headroom while keeping a
@@ -28,6 +30,14 @@ pub const MAX_BODY_BYTES: u64 = 1 << 20;
 
 /// Largest request head (request line + headers) accepted, bytes.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
+
+/// Most request bytes a lingering close reads and discards after
+/// refusing a request: room for a client that sends a body several times
+/// the cap before reading the reply.
+const LINGER_MAX_BYTES: u64 = 4 * MAX_BODY_BYTES;
+
+/// Longest a lingering close waits for the client to finish sending.
+const LINGER_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Per-connection socket timeout. Generous: a coordinator may stall a
 /// worker's claim briefly while folding, but nothing legitimate holds a
@@ -204,18 +214,57 @@ fn serve_connection(stream: TcpStream, handler: &Handler) -> std::io::Result<()>
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
-    let response = match read_request(&mut reader) {
-        Ok(request) => handler(request),
-        Err(ReadError::TooLarge) => Response::error(
-            413,
-            "payload too large",
-            &format!("request bodies are capped at {MAX_BODY_BYTES} bytes"),
+    // A refused request may leave bytes unread on the socket.
+    let (response, unread) = match read_request(&mut reader) {
+        Ok(request) => (handler(request), false),
+        Err(ReadError::TooLarge) => (
+            Response::error(
+                413,
+                "payload too large",
+                &format!("request bodies are capped at {MAX_BODY_BYTES} bytes"),
+            ),
+            true,
         ),
-        Err(ReadError::Malformed(detail)) => Response::error(400, "malformed request", &detail),
+        Err(ReadError::Malformed(detail)) => {
+            (Response::error(400, "malformed request", &detail), true)
+        }
         Err(ReadError::Io(e)) => return Err(e),
     };
     let mut stream = reader.into_inner();
-    write_response(&mut stream, &response)
+    write_response(&mut stream, &response)?;
+    if unread {
+        linger_close(&mut stream);
+    }
+    Ok(())
+}
+
+/// Closes a connection whose request was not read to the end without
+/// losing the reply already written to it.
+///
+/// Closing a socket with unread input makes the kernel send a RST, and a
+/// RST can destroy the reply before the client has read it. So this sends
+/// FIN first, then reads and discards whatever the client still sends
+/// until it closes its end, giving up after [`LINGER_MAX_BYTES`] or
+/// [`LINGER_TIMEOUT`], whichever comes first.
+fn linger_close(stream: &mut TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    let mut buf = [0u8; 16 * 1024];
+    let mut drained = 0u64;
+    while drained < LINGER_MAX_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return,
+            Ok(n) => drained += n as u64,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
 }
 
 enum ReadError {

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use eavs_sim::time::round_to_i128;
+
 /// Online mean/variance/min/max accumulator.
 ///
 /// Uses Welford's numerically stable update; accumulators can be merged
@@ -206,7 +208,7 @@ impl ExactSum {
     /// Panics on NaN or infinite observations.
     pub fn add(&mut self, x: f64) {
         assert!(x.is_finite(), "non-finite observation {x}");
-        self.nanos += (x * Self::SCALE).round() as i128;
+        self.nanos += round_to_i128(x * Self::SCALE);
         self.count += 1;
     }
 

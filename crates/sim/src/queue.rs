@@ -1,62 +1,47 @@
 //! The pending-event queue.
 //!
-//! A slab-backed, generation-tagged indexed priority queue. Event payloads
-//! live in a `Vec` slab; the binary heap holds only compact `(time, seq,
-//! slot)` keys, so scheduling, cancellation and popping never touch a hash
-//! table. Events scheduled for the same instant pop in FIFO order (ordered by
-//! the monotonically increasing `seq`) — a property several state machines in
-//! the simulator rely on (e.g. "frequency applied" must be observed before a
+//! One contiguous buffer of `(time, seq, event)` entries kept sorted in
+//! *descending* `(time, seq)` order, so the earliest event is the last
+//! element and [`EventQueue::pop`] is a plain `Vec::pop`. `seq` increases
+//! monotonically with every push, so events scheduled for the same instant
+//! pop in FIFO order — a property several state machines in the simulator
+//! rely on (e.g. "frequency applied" must be observed before a
 //! decode-completion check scheduled afterwards at the same instant).
 //!
-//! [`EventId`] carries `(slot, generation)`. The generation is bumped every
-//! time a slot is vacated, so a stale id — one whose event already fired or
-//! was cancelled — can never cancel an unrelated event that happens to reuse
-//! the same slot.
+//! A streaming session keeps about three events pending (seven at most),
+//! so the `O(pending)` shift in [`EventQueue::push`] and
+//! [`EventQueue::cancel`] moves a handful of entries; at that size it is
+//! cheaper than a binary heap's sift plus an indirection to a payload.
 //!
-//! Cancellation is an *O(1)* tombstone write: the slab entry is cleared and
-//! the heap key is left behind, to be purged lazily when it surfaces at the
-//! top of the heap (a key is stale when its `seq` no longer matches the
-//! slot's live entry). This keeps `push` and `pop` `O(log n)` amortized and
-//! `cancel` `O(1)`, with zero per-event hashing anywhere.
+//! [`EventId`] is the event's `seq`, unique for the lifetime of the queue,
+//! so the id of an event that fired or was cancelled can never match a
+//! later one. Cancellation removes the entry at once: every entry in the
+//! buffer is live.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::SimTime;
 
 /// A handle identifying a scheduled event, usable for cancellation.
 ///
-/// Packs the slab slot and its generation at scheduling time; both must still
-/// match for [`EventQueue::cancel`] to take effect, so ids are immune to slot
-/// reuse.
+/// Ids are never reused: each push mints a new one.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId {
-    slot: u32,
-    gen: u32,
-}
+pub struct EventId(u64);
 
 impl EventId {
-    /// The raw packed representation (`generation << 32 | slot`). Mostly
-    /// useful for logging.
+    /// The raw sequence number. Mostly useful for logging.
     pub fn as_u64(self) -> u64 {
-        (self.gen as u64) << 32 | self.slot as u64
+        self.0
     }
 }
 
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ev#{}g{}", self.slot, self.gen)
+        write!(f, "ev#{}", self.0)
     }
 }
 
-/// One slab cell. `gen` counts how many times the cell has been vacated.
-struct Slot<E> {
-    gen: u32,
-    entry: Option<SlotEntry<E>>,
-}
-
-struct SlotEntry<E> {
+struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
@@ -77,125 +62,80 @@ struct SlotEntry<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    /// Min-heap (via `Reverse`) of `(time, seq, slot)`. `seq` is unique and
-    /// monotonic, so ties at the same time break FIFO; `slot` is never
-    /// reached during comparison and merely locates the payload.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    slab: Vec<Slot<E>>,
-    /// Vacated slots available for reuse, most recently freed last.
-    free: Vec<u32>,
+    /// Pending events, sorted by descending `(time, seq)`.
+    entries: Vec<Entry<E>>,
     next_seq: u64,
-    live: usize,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            entries: Vec::new(),
             next_seq: 0,
-            live: 0,
         }
     }
 
     /// Schedules `event` at absolute time `time`, returning its id.
+    #[inline]
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = SlotEntry { time, seq, event };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize].entry = Some(entry);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("event slab exceeded u32 slots");
-                self.slab.push(Slot {
-                    gen: 0,
-                    entry: Some(entry),
-                });
-                slot
-            }
-        };
-        self.heap.push(Reverse((time, seq, slot)));
-        self.live += 1;
-        EventId {
-            slot,
-            gen: self.slab[slot as usize].gen,
+        // Append, then walk the entry toward the front past every entry it
+        // must pop after. `seq` exceeds every pending one, so that includes
+        // all entries at the same instant. At a session's handful of
+        // pending events this walk beats a binary search plus
+        // `Vec::insert`'s `memmove` call; on a 10k-event queue it is the
+        // slower of the two (see DESIGN.md §9.1).
+        self.entries.push(Entry { time, seq, event });
+        let mut at = self.entries.len() - 1;
+        while at > 0 && self.entries[at - 1].time <= time {
+            self.entries.swap(at - 1, at);
+            at -= 1;
         }
+        EventId(seq)
     }
 
-    /// Cancels a previously scheduled event in O(1).
+    /// Cancels a previously scheduled event, removing it from the queue.
     ///
     /// Returns `true` if the event was still pending, `false` if it had
-    /// already fired or been cancelled (including when its slot has since
-    /// been reused by a newer event — the generation tag disambiguates).
+    /// already fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slab.get_mut(id.slot as usize) {
-            Some(slot) if slot.gen == id.gen && slot.entry.is_some() => {
-                slot.entry = None;
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(id.slot);
-                self.live -= 1;
+        match self.entries.iter().rposition(|e| e.seq == id.0) {
+            Some(at) => {
+                self.entries.remove(at);
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 
     /// `true` if `id` still names a pending (not fired, not cancelled)
-    /// event. Stale ids whose slot has been recycled report `false`.
+    /// event.
     pub fn contains(&self, id: EventId) -> bool {
-        matches!(
-            self.slab.get(id.slot as usize),
-            Some(slot) if slot.gen == id.gen && slot.entry.is_some()
-        )
+        self.entries.iter().any(|e| e.seq == id.0)
     }
 
     /// The time of the earliest pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((time, seq, slot))) = self.heap.peek() {
-            if self.key_is_live(seq, slot) {
-                return Some(time);
-            }
-            self.heap.pop();
-        }
-        None
+    #[inline]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.entries.last().map(|e| e.time)
     }
 
     /// Removes and returns the earliest pending event.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse((time, seq, slot))) = self.heap.pop() {
-            if !self.key_is_live(seq, slot) {
-                continue; // stale key: cancelled, or the slot was reused
-            }
-            let cell = &mut self.slab[slot as usize];
-            let entry = cell.entry.take().expect("live key without slab entry");
-            cell.gen = cell.gen.wrapping_add(1);
-            self.free.push(slot);
-            self.live -= 1;
-            debug_assert_eq!(entry.time, time);
-            return Some((time, entry.event));
-        }
-        None
+        self.entries.pop().map(|e| (e.time, e.event))
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
-    /// `true` if no live events are pending.
+    /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// A heap key is live iff the slot still holds the entry it was pushed
-    /// for; `seq` is globally unique, so one comparison settles it.
-    fn key_is_live(&self, seq: u64, slot: u32) -> bool {
-        matches!(&self.slab[slot as usize].entry, Some(e) if e.seq == seq)
+        self.entries.is_empty()
     }
 }
 
@@ -208,9 +148,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.live)
+            .field("live", &self.entries.len())
             .field("scheduled_total", &self.next_seq)
-            .field("slab_slots", &self.slab.len())
             .finish()
     }
 }
@@ -298,41 +237,51 @@ mod tests {
     }
 
     #[test]
-    fn stale_id_cannot_cancel_reused_slot() {
+    fn cancelled_id_never_touches_a_later_event() {
         let mut q = EventQueue::new();
         let a = q.push(t(1), "old");
         assert!(q.cancel(a));
-        // The vacated slot is reused immediately, but with a bumped
-        // generation: the stale id must bounce off the new tenant.
-        let b = q.push(t(2), "new");
+        // A later event at the same instant must not answer to the old id.
+        let b = q.push(t(1), "new");
         assert_ne!(a, b);
         assert_ne!(a.as_u64(), b.as_u64());
-        assert!(!q.cancel(a), "stale id cancelled a reused slot");
-        assert_eq!(q.pop(), Some((t(2), "new")));
+        assert!(!q.contains(a), "cancelled id observes a later event");
+        assert!(!q.cancel(a), "cancelled id cancelled a later event");
+        assert!(q.contains(b));
+        assert_eq!(q.pop(), Some((t(1), "new")));
     }
 
     #[test]
-    fn popped_slot_reuse_bumps_generation() {
+    fn fired_id_never_touches_a_later_event() {
         let mut q = EventQueue::new();
         let a = q.push(t(1), 1u32);
         assert_eq!(q.pop(), Some((t(1), 1)));
         let b = q.push(t(2), 2u32);
-        assert!(!q.cancel(a), "id of a popped event cancelled its successor");
+        assert!(!q.contains(a), "fired id observes its successor");
+        assert!(!q.cancel(a), "fired id cancelled its successor");
         assert!(q.cancel(b));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn slab_slots_are_reused_not_grown() {
+    fn memory_tracks_peak_pending_not_total_scheduled() {
         let mut q = EventQueue::new();
-        for round in 0..10u64 {
+        for round in 0..1_000u64 {
             let ids: Vec<_> = (0..8).map(|i| q.push(t(round * 10 + i), i)).collect();
             for id in ids {
-                q.cancel(id);
+                assert!(q.cancel(id));
             }
         }
-        // 80 events total but never more than 8 alive at once.
-        assert!(q.slab.len() <= 8, "slab grew to {} slots", q.slab.len());
+        // 8,000 events scheduled, never more than 8 pending at once.
         assert!(q.is_empty());
+        let cap = q.entries.capacity();
+        assert!((8..16).contains(&cap), "capacity {cap} for a peak of 8");
+        // Raising the peak grows the buffer to match, and no further.
+        for i in 0..20 {
+            q.push(t(i), i);
+        }
+        while q.pop().is_some() {}
+        let cap = q.entries.capacity();
+        assert!((20..40).contains(&cap), "capacity {cap} for a peak of 20");
     }
 }

@@ -149,7 +149,7 @@ impl SimDuration {
             nanos <= u64::MAX as f64,
             "duration {secs} s overflows the simulation clock"
         );
-        SimDuration(nanos.round() as u64)
+        SimDuration(round_to_u64(nanos))
     }
 
     /// The duration in whole nanoseconds.
@@ -209,7 +209,7 @@ impl SimDuration {
         );
         let nanos = self.0 as f64 * factor;
         assert!(nanos <= u64::MAX as f64, "duration multiply overflow");
-        SimDuration(nanos.round() as u64)
+        SimDuration(round_to_u64(nanos))
     }
 
     /// Divides by a float factor, rounding to the nearest nanosecond.
@@ -222,7 +222,7 @@ impl SimDuration {
             divisor.is_finite() && divisor > 0.0,
             "duration divisor must be positive, got {divisor}"
         );
-        SimDuration((self.0 as f64 / divisor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 / divisor))
     }
 
     /// The ratio of this duration to another, as a float.
@@ -342,6 +342,49 @@ impl fmt::Debug for SimDuration {
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&format_nanos(self.0))
+    }
+}
+
+/// `x.round() as u64`, bit for bit, without the libm call: rounds to the
+/// nearest integer with halves away from zero, saturating like `as` (NaN
+/// and negatives give 0, anything past `u64::MAX` gives `u64::MAX`).
+///
+/// The truncation is exact, and so is the fractional part `x - trunc(x)`
+/// (below 1 the truncation is zero; above it the two operands are within a
+/// factor of two, so the subtraction is exact), so comparing it against 0.5
+/// decides the rounding exactly.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        // Only a saturated `t` (x ≥ 2^64) can be u64::MAX here.
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
+/// `x.round() as i128`, bit for bit, without the libm call or the
+/// `f64 → i128` conversion routine: the same exact truncate-and-compare as
+/// [`round_to_u64`], done in `i64` whenever `|x| < 2^63`.
+#[inline]
+pub fn round_to_i128(x: f64) -> i128 {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if x.abs() < TWO_POW_63 {
+        let t = x as i64;
+        let frac = x - t as f64;
+        // A non-zero fraction implies |x| < 2^52, so `t ± 1` cannot overflow.
+        let r = if frac >= 0.5 {
+            t + 1
+        } else if frac <= -0.5 {
+            t - 1
+        } else {
+            t
+        };
+        r as i128
+    } else {
+        // Integral (or NaN / infinite) already: rounding is the identity.
+        x as i128
     }
 }
 

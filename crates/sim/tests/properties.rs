@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation kernel.
 
 use eavs_sim::prelude::*;
+use eavs_sim::time::{round_to_i128, round_to_u64};
 use proptest::prelude::*;
 
 proptest! {
@@ -245,5 +246,88 @@ proptest! {
         for old in retired {
             prop_assert!(!q.cancel(old), "retired id {old} cancelled a live event");
         }
+    }
+}
+
+/// The float just below `x` (`x` positive and finite).
+fn below(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() - 1)
+}
+
+/// Asserts both rounding helpers against `f64::round` plus an `as` cast.
+fn assert_rounds_like_libm(x: f64) {
+    assert_eq!(round_to_u64(x), x.round() as u64, "round_to_u64({x:e})");
+    assert_eq!(round_to_i128(x), x.round() as i128, "round_to_i128({x:e})");
+}
+
+proptest! {
+    /// Any bit pattern: NaNs, infinities, subnormals, both signs, every
+    /// exponent.
+    #[test]
+    fn rounding_matches_libm_for_any_bits(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_to_u64(x), x.round() as u64);
+        prop_assert_eq!(round_to_i128(x), x.round() as i128);
+    }
+
+    /// The magnitudes the simulator rounds: nanoseconds and nanounits with
+    /// a fractional part, both signs for the signed helper.
+    #[test]
+    fn rounding_matches_libm_on_fractional_values(x in 0.0f64..1e12, scale in 0u32..32) {
+        let x = x / f64::from(1u32 << scale);
+        prop_assert_eq!(round_to_u64(x), x.round() as u64);
+        prop_assert_eq!(round_to_i128(x), x.round() as i128);
+        prop_assert_eq!(round_to_i128(-x), (-x).round() as i128);
+    }
+
+    /// Exact halves `k + 0.5` round away from zero; the float just below a
+    /// half rounds toward it.
+    #[test]
+    fn rounding_matches_libm_at_halves(k in 0u64..1 << 52) {
+        let half = k as f64 + 0.5;
+        for x in [half, below(half), -half, -below(half)] {
+            prop_assert_eq!(round_to_u64(x), x.round() as u64);
+            prop_assert_eq!(round_to_i128(x), x.round() as i128);
+        }
+    }
+}
+
+#[test]
+fn rounding_matches_libm_on_edge_cases() {
+    let two_52 = (1u64 << 52) as f64;
+    let two_53 = (1u64 << 53) as f64;
+    let two_63 = 2f64.powi(63);
+    let two_64 = 2f64.powi(64);
+    let mut cases = vec![
+        0.0,
+        0.5,
+        below(0.5),
+        1.5,
+        2.5,
+        below(2.5),
+        f64::MIN_POSITIVE,
+        below(f64::MIN_POSITIVE), // largest subnormal
+        f64::from_bits(1),        // smallest subnormal
+        two_52 - 0.5,
+        below(two_52 - 0.5),
+        two_52,
+        two_52 + 1.0,
+        two_53,
+        two_53 + 2.0,
+        below(two_63),
+        two_63,
+        below(two_64),
+        u64::MAX as f64,
+        two_64 * 2.0,
+        2f64.powi(127),
+        2f64.powi(200),
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    let negatives: Vec<f64> = cases.iter().map(|&x| -x).collect();
+    cases.extend(negatives);
+    for x in cases {
+        assert_rounds_like_libm(x);
     }
 }
