@@ -1,7 +1,7 @@
-//! Governor dispatch cost: dyn trait object vs devirtualized enum vs
-//! the vectorized LUT column, at batch widths 1, 8 and 64.
+//! Governor dispatch cost: dyn trait object vs devirtualized enum, at
+//! lane widths 1, 8 and 64.
 //!
-//! All three paths step the same [`DispatchLanes`] workload (every
+//! Both paths step the same [`DispatchLanes`] workload (every
 //! baseline governor, deterministic load stream), so the comparison
 //! isolates dispatch and frequency-selection strategy. `bench_report`
 //! folds the same measurement into `BENCH_sim.json` as
@@ -21,10 +21,6 @@ fn bench_dispatch(c: &mut Criterion) {
         let mut lanes = DispatchLanes::new(width);
         group.bench_function(&format!("enum/w{width}"), |b| {
             b.iter(|| black_box(lanes.step_enum()))
-        });
-        let mut lanes = DispatchLanes::new(width);
-        group.bench_function(&format!("lut/w{width}"), |b| {
-            b.iter(|| black_box(lanes.step_lut()))
         });
     }
     group.finish();

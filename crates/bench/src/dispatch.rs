@@ -1,6 +1,6 @@
 //! Shared workload for the governor dispatch micro-benchmarks.
 //!
-//! Three code paths make one baseline-governor decision per lane per
+//! Two code paths make one baseline-governor decision per lane per
 //! step, over identical deterministic load streams:
 //!
 //! * **dyn**  — `Box<dyn CpufreqGovernor>::on_sample`, the extension
@@ -9,10 +9,6 @@
 //! * **enum** — [`GovernorKind::decide`] over a cached [`DecisionLut`]:
 //!   static dispatch through one predictable `match`, selection over the
 //!   precomputed frequency column.
-//! * **lut**  — [`DecisionLut::lookup_many`] over a contiguous target
-//!   column, the struct-of-arrays form the batch runner feeds one
-//!   governor group at a time. This is the selection primitive alone
-//!   (targets are precomputed), so it bounds the other two from below.
 //!
 //! The same lane state and stream drive both the `governor_dispatch`
 //! criterion bench and the `governor_dispatch` object in
@@ -29,15 +25,13 @@ use eavs_sim::time::{SimDuration, SimTime};
 pub const WIDTHS: [usize; 3] = [1, 8, 64];
 
 /// One width's worth of dispatch lanes: the same governor sequence held
-/// three ways, stepped over the same deterministic load stream.
+/// both ways, stepped over the same deterministic load stream.
 pub struct DispatchLanes {
     table: OppTable,
     limits: PolicyLimits,
     lut: DecisionLut,
     dyn_lanes: Vec<(Box<dyn CpufreqGovernor>, OppIndex)>,
     enum_lanes: Vec<(GovernorKind, OppIndex)>,
-    targets: Vec<f64>,
-    out: Vec<OppIndex>,
     step: u64,
 }
 
@@ -66,8 +60,6 @@ impl DispatchLanes {
             lut,
             dyn_lanes,
             enum_lanes,
-            targets: vec![0.0; width],
-            out: vec![0; width],
             step: 0,
         }
     }
@@ -114,32 +106,13 @@ impl DispatchLanes {
         }
         sum
     }
-
-    /// One frequency selection per lane over the contiguous target
-    /// column — the vectorized batch-runner primitive.
-    pub fn step_lut(&mut self) -> usize {
-        let t = self.step;
-        self.step += 1;
-        let hw_max = self.lut.hw_max_khz();
-        for (lane, target) in self.targets.iter_mut().enumerate() {
-            let busy = ((t * 37 + lane as u64 * 13) % 101) as f64 / 100.0;
-            *target = busy * hw_max;
-        }
-        self.lut.lookup_many(&self.targets, &mut self.out);
-        self.out.iter().sum()
-    }
-
-    /// Lane count.
-    pub fn width(&self) -> usize {
-        self.out.len()
-    }
 }
 
-/// Best-of-`reps` nanoseconds per decision for (dyn, enum, lut) at one
+/// Best-of-`reps` nanoseconds per decision for (dyn, enum) at one
 /// width, timing `steps` sweeps per rep. Used by `bench_report` to fold
 /// the dispatch comparison into `BENCH_sim.json`; the criterion bench
 /// measures the same [`DispatchLanes`] steps with its own loop.
-pub fn measure_ns_per_decision(width: usize, steps: u64, reps: u32) -> (f64, f64, f64) {
+pub fn measure_ns_per_decision(width: usize, steps: u64, reps: u32) -> (f64, f64) {
     let mut lanes = DispatchLanes::new(width);
     let decisions = (steps * width as u64) as f64;
     let mut time = |f: &mut dyn FnMut(&mut DispatchLanes) -> usize| {
@@ -159,8 +132,7 @@ pub fn measure_ns_per_decision(width: usize, steps: u64, reps: u32) -> (f64, f64
     };
     let dyn_ns = time(&mut |l| l.step_dyn());
     let enum_ns = time(&mut |l| l.step_enum());
-    let lut_ns = time(&mut |l| l.step_lut());
-    (dyn_ns, enum_ns, lut_ns)
+    (dyn_ns, enum_ns)
 }
 
 #[cfg(test)]

@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod framestats;
 pub mod governor;
 pub mod predictor;
@@ -47,13 +46,12 @@ pub mod report;
 pub mod selector;
 pub mod session;
 
-pub use batch::{batch_stats, run_batch, BatchStats, DEFAULT_WIDTH};
 pub use framestats::FrameCycleStats;
 pub use governor::{EavsConfig, EavsGovernor, PipelineSnapshot};
 pub use predictor::{FleetPrior, FrameMeta, Hybrid, SessionPrior, WorkloadPredictor};
 pub use report::SessionReport;
 pub use selector::{required_hz, DemandItem, OppSelector};
 pub use session::{
-    injected_decisions, replayed_sessions, ClusterSelect, GovernorChoice, KernelHot, ReplayCtl,
-    SessionBuilder, SessionScratch, SessionState, StreamingSession,
+    ClusterSelect, GovernorChoice, KernelCounters, SessionBuilder, SessionScratch, SessionState,
+    StreamingSession,
 };

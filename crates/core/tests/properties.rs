@@ -1,8 +1,5 @@
 //! Property-based tests for the EAVS core: predictors, the demand/selector
-//! math, governor decision invariants, and the scalar/batched/replayed
-//! session-kernel equivalences.
-
-use std::sync::Arc;
+//! math and governor decision invariants.
 
 use eavs_core::governor::{EavsConfig, EavsGovernor, InFlightMeta, PipelineSnapshot};
 use eavs_core::predictor::{
@@ -219,183 +216,5 @@ proptest! {
         let shallow = fresh().decide(&snap_with(d1), &tbl, limits, 3);
         let deep = fresh().decide(&snap_with(d1 + extra), &tbl, limits, 3);
         prop_assert!(deep <= shallow, "deep {deep} > shallow {shallow}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Session-kernel equivalences: scalar vs batched SoA, full vs replayed.
-// ---------------------------------------------------------------------------
-
-use eavs_core::session::{ReplayCtl, SessionBuilder, StreamingSession};
-use eavs_faults::{DecodeSpike, FaultPlan, SegmentFault};
-use eavs_trace::content::ContentProfile;
-use eavs_video::manifest::Manifest;
-
-/// One randomized session spec, re-buildable as many times as needed
-/// (SessionBuilder is consumed by `run`).
-#[derive(Clone, Debug)]
-struct SpecDraw {
-    seed: u64,
-    kbps: u32,
-    fps: u32,
-    secs: u64,
-    content: u8,
-    margin: f64,
-    hysteresis: u32,
-    corrupt_segment: Option<u32>,
-    spike_frame: Option<u32>,
-}
-
-/// Hand-rolled strategy (the vendored proptest has no `prop_map`).
-#[derive(Debug)]
-struct SpecStrategy;
-
-impl Strategy for SpecStrategy {
-    type Value = SpecDraw;
-
-    fn sample(&self, rng: &mut proptest::test_runner::TestRng) -> SpecDraw {
-        let fps = [24u32, 30, 60][(0usize..3).sample(rng)];
-        // Over-drawn sentinel values mean "no fault of that kind".
-        let corrupt = (0u32..3).sample(rng);
-        let spike = (0u32..61).sample(rng);
-        SpecDraw {
-            seed: (0u64..1_000).sample(rng),
-            kbps: (500u32..8_000).sample(rng),
-            fps,
-            secs: (3u64..8).sample(rng),
-            content: (0u8..3).sample(rng),
-            margin: (0.0f64..0.5).sample(rng),
-            hysteresis: (1u32..6).sample(rng),
-            corrupt_segment: (corrupt < 2).then_some(corrupt),
-            spike_frame: (spike < 60).then_some(spike),
-        }
-    }
-}
-
-impl SpecDraw {
-    fn faults(&self) -> FaultPlan {
-        let mut plan = FaultPlan::default();
-        if let Some(seg) = self.corrupt_segment {
-            plan.corruption.push(SegmentFault::once(seg.into()));
-        }
-        if let Some(frame) = self.spike_frame {
-            plan.decode_spikes.push(DecodeSpike {
-                frame: frame.into(),
-                factor: 2.5,
-            });
-        }
-        plan
-    }
-
-    fn builder(&self, manifest: &Arc<Manifest>) -> SessionBuilder {
-        let gov = eavs_core::session::GovernorChoice::Eavs(EavsGovernor::new(
-            Box::new(Hybrid::default()),
-            EavsConfig {
-                margin: self.margin,
-                down_hysteresis: self.hysteresis,
-                ..EavsConfig::default()
-            },
-        ));
-        let content = match self.content {
-            0 => ContentProfile::Film,
-            1 => ContentProfile::Animation,
-            _ => ContentProfile::Sport,
-        };
-        let mut b = StreamingSession::builder(gov)
-            .manifest(Arc::clone(manifest))
-            .content(content)
-            .seed(self.seed);
-        let faults = self.faults();
-        if !faults.is_empty() {
-            b = b.faults(faults);
-        }
-        b
-    }
-
-    fn manifest(&self) -> Arc<Manifest> {
-        Arc::new(Manifest::single(
-            self.kbps,
-            1280,
-            720,
-            SimDuration::from_secs(self.secs),
-            self.fps,
-        ))
-    }
-}
-
-proptest! {
-    // Session runs are costly; a modest case count still covers the
-    // interesting corners (faulted lanes, mixed durations, odd widths).
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The batched SoA kernel is byte-identical to the scalar loop for
-    /// arbitrary specs (including faulted ones) at arbitrary widths.
-    #[test]
-    fn batch_kernel_equivalent_to_scalar(
-        specs in proptest::collection::vec(SpecStrategy, 1..6),
-        width in 1usize..9,
-    ) {
-        let manifests: Vec<Arc<Manifest>> = specs.iter().map(SpecDraw::manifest).collect();
-        let scalar: Vec<String> = specs
-            .iter()
-            .zip(&manifests)
-            .map(|(s, m)| format!("{:?}", s.builder(m).run()))
-            .collect();
-        let fingerprints: Vec<_> = specs
-            .iter()
-            .zip(&manifests)
-            .map(|(s, m)| s.builder(m).fingerprint())
-            .collect();
-        let batched = eavs_core::run_batch(
-            specs.iter().zip(&manifests).map(|(s, m)| s.builder(m)),
-            width,
-        );
-        prop_assert_eq!(batched.len(), specs.len());
-        for (i, report) in batched.iter().enumerate() {
-            prop_assert_eq!(&format!("{:?}", report), &scalar[i], "spec {}: {:?}", i, specs[i]);
-            let fp_after = specs[i].builder(&manifests[i]).fingerprint();
-            prop_assert_eq!(&fingerprints[i], &fp_after);
-        }
-    }
-
-    /// Injecting a recorded decision timeline into a knob variant (and
-    /// under fault plans that force mid-session divergence) reproduces
-    /// the variant's full simulation byte for byte.
-    #[test]
-    fn replay_equivalent_to_full_simulation(spec in SpecStrategy, rec_seed in 0u64..4) {
-        let manifest = spec.manifest();
-        // Record a clean (fault-free) base session with default knobs.
-        let base = SpecDraw {
-            margin: 0.15,
-            hysteresis: 3,
-            corrupt_segment: None,
-            spike_frame: None,
-            ..spec.clone()
-        };
-        // Keys are process-wide and first-write-wins; salt the seed so
-        // every proptest case records a fresh timeline.
-        let salt = 10_000 + rec_seed * 1_000 + base.seed;
-        let base = SpecDraw { seed: salt, ..base };
-        let variant = SpecDraw { seed: salt, ..spec.clone() };
-        let key = base
-            .builder(&manifest)
-            .replay_prefix()
-            .expect("eavs sessions have a replay prefix");
-        let recorded = base
-            .builder(&manifest)
-            .replay(ReplayCtl::Record(key))
-            .run();
-        prop_assert!(recorded.events_processed > 0);
-        let full = format!("{:?}", variant.builder(&manifest).run());
-        let timeline = eavs_trace::memo::decision_timeline(key)
-            .expect("clean recording must be published");
-        let injected = format!(
-            "{:?}",
-            variant
-                .builder(&manifest)
-                .replay(ReplayCtl::Inject(timeline))
-                .run()
-        );
-        prop_assert_eq!(injected, full, "variant {:?}", variant);
     }
 }

@@ -177,10 +177,8 @@ impl<'a> Lines<'a> {
             .next()
             .ok_or(format!("checkpoint: {key} truncated"))??;
         let bins = ints.collect::<Result<Vec<u64>, String>>()?;
-        if bins.is_empty() {
-            return Err(format!("checkpoint: {key} has no bins"));
-        }
-        Ok(Histogram::from_parts(lo, hi, bins, underflow, overflow))
+        Histogram::try_from_parts(lo, hi, bins, underflow, overflow)
+            .map_err(|e| format!("checkpoint: bad {key}: {e}"))
     }
 }
 
@@ -204,8 +202,10 @@ pub fn decode(text: &str) -> Result<FleetAggregate, String> {
     let shards_done = lines.parse("shards_done")?;
     let sessions_done = lines.parse("sessions_done")?;
     let arrivals = lines.hist("arrivals")?;
+    // Untrusted count: every lane consumes input lines, so a huge count
+    // fails on truncation instead of pre-sizing an allocation.
     let gov_count: usize = lines.parse("govs")?;
-    let mut govs = Vec::with_capacity(gov_count);
+    let mut govs = Vec::new();
     for _ in 0..gov_count {
         let name = lines.field("gov")?.to_owned();
         let sessions = lines.parse("sessions")?;
@@ -420,5 +420,35 @@ mod tests {
         // Field corruption.
         let bad = text.replace("shards_done 1", "shards_done banana");
         assert!(decode(&bad).unwrap_err().contains("shards_done"));
+    }
+
+    #[test]
+    fn huge_governor_count_is_an_error_not_an_allocation() {
+        let empty = encode(&FleetAggregate::new(&CampaignSpec::smoke()));
+        let govs = empty.lines().find(|l| l.starts_with("govs ")).unwrap();
+        for count in [u64::MAX, usize::MAX as u64 / 8, 1 << 40] {
+            let bad = empty.replace(govs, &format!("govs {count}"));
+            assert!(decode(&bad).is_err(), "govs {count}");
+        }
+    }
+
+    #[test]
+    fn degenerate_histogram_ranges_are_errors() {
+        let empty = encode(&FleetAggregate::new(&CampaignSpec::smoke()));
+        let line = empty.lines().find(|l| l.starts_with("arrivals ")).unwrap();
+        let rest: Vec<&str> = line.split(' ').skip(3).collect();
+        let bits = |x: f64| format!("{:x}", x.to_bits());
+        for (lo, hi) in [
+            (5.0, 5.0),
+            (9.0, 1.0),
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (0.0, f64::INFINITY),
+        ] {
+            let bad_line = format!("arrivals {} {} {}", bits(lo), bits(hi), rest.join(" "));
+            let bad = empty.replace(line, &bad_line);
+            let err = decode(&bad).unwrap_err();
+            assert!(err.contains("arrivals"), "[{lo}, {hi}): {err}");
+        }
     }
 }

@@ -82,15 +82,6 @@ impl DecisionLut {
         (self.min_index + below).min(self.max_index)
     }
 
-    /// [`lookup`](Self::lookup) over a contiguous column of targets —
-    /// the struct-of-arrays form the batch runner feeds one governor
-    /// group at a time.
-    pub fn lookup_many(&self, targets: &[f64], out: &mut [OppIndex]) {
-        for (t, o) in targets.iter().zip(out.iter_mut()) {
-            *o = self.lookup(*t);
-        }
-    }
-
     /// The cached frequency of an OPP, in kHz.
     #[inline]
     pub fn khz_at(&self, idx: OppIndex) -> f64 {
@@ -123,8 +114,8 @@ impl DecisionLut {
 }
 
 /// Caches a [`DecisionLut`] across samples, rebuilding only when the
-/// policy window moves (thermal limit changes) — the glue a session or
-/// batch lane keeps next to its [`GovernorKind`].
+/// policy window moves (thermal limit changes) — the glue a session
+/// keeps next to its [`GovernorKind`].
 #[derive(Clone, Debug, Default)]
 pub struct LutCache(Option<DecisionLut>);
 
@@ -209,20 +200,6 @@ impl GovernorKind {
     /// The OPP index selected at governor start.
     pub fn initial_index(&self, table: &OppTable, limits: PolicyLimits) -> OppIndex {
         each_kind!(self, g => CpufreqGovernor::initial_index(g, table, limits))
-    }
-
-    /// A small dense tag for grouping lanes of the same kind together
-    /// (batch admission order); equal tags share decision code paths.
-    pub fn lane_class(&self) -> u8 {
-        match self {
-            GovernorKind::Performance(_) => 0,
-            GovernorKind::Powersave(_) => 1,
-            GovernorKind::Userspace(_) => 2,
-            GovernorKind::Ondemand(_) => 3,
-            GovernorKind::Conservative(_) => 4,
-            GovernorKind::Interactive(_) => 5,
-            GovernorKind::Schedutil(_) => 6,
-        }
     }
 
     /// One decision over the precomputed LUT — bit-identical to the
@@ -348,18 +325,6 @@ mod tests {
         };
         assert_eq!(cache.get(&t, narrowed).max_index(), 1);
         assert_eq!(cache.get(&t, full).max_index(), 3);
-    }
-
-    #[test]
-    fn lookup_many_matches_scalar() {
-        let t = table();
-        let lut = DecisionLut::build(&t, PolicyLimits::full(&t));
-        let targets: Vec<f64> = (0..64).map(|i| i as f64 * 40_000.0).collect();
-        let mut out = vec![0usize; targets.len()];
-        lut.lookup_many(&targets, &mut out);
-        for (t_khz, idx) in targets.iter().zip(&out) {
-            assert_eq!(*idx, lut.lookup(*t_khz));
-        }
     }
 
     #[test]

@@ -96,19 +96,33 @@ impl Histogram {
 
     /// Rebuilds a histogram from its raw parts (checkpoint decoding).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty range or zero bins, like [`Histogram::new`].
-    pub fn from_parts(lo: f64, hi: f64, bins: Vec<u64>, underflow: u64, overflow: u64) -> Self {
-        assert!(lo < hi, "histogram range [{lo}, {hi}) is empty");
-        assert!(!bins.is_empty(), "histogram needs at least one bin");
-        Histogram {
+    /// Returns a message when the parts could not come from
+    /// [`Histogram::new`]: a range that is empty, inverted, NaN or
+    /// infinite, or zero bins.
+    pub fn try_from_parts(
+        lo: f64,
+        hi: f64,
+        bins: Vec<u64>,
+        underflow: u64,
+        overflow: u64,
+    ) -> Result<Self, String> {
+        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+            return Err(format!(
+                "histogram range [{lo}, {hi}) is empty or not finite"
+            ));
+        }
+        if bins.is_empty() {
+            return Err("histogram needs at least one bin".to_owned());
+        }
+        Ok(Histogram {
             lo,
             hi,
             bins,
             underflow,
             overflow,
-        }
+        })
     }
 
     /// Observations below the range.
@@ -287,6 +301,21 @@ impl Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_from_parts_rejects_what_new_refuses() {
+        let ok = Histogram::try_from_parts(0.0, 1.0, vec![1, 2], 3, 4).unwrap();
+        assert_eq!((ok.total(), ok.lo(), ok.hi()), (10, 0.0, 1.0));
+        for (lo, hi) in [
+            (1.0, 1.0),
+            (2.0, 1.0),
+            (f64::NAN, 1.0),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
+            assert!(Histogram::try_from_parts(lo, hi, vec![1], 0, 0).is_err());
+        }
+        assert!(Histogram::try_from_parts(0.0, 1.0, Vec::new(), 0, 0).is_err());
+    }
 
     #[test]
     fn bins_cover_range_without_gaps() {

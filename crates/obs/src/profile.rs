@@ -37,8 +37,6 @@ pub struct PhaseProfile {
     pub display: PhaseStats,
     /// Governor sampling and decisions.
     pub governor: PhaseStats,
-    /// Batched-kernel shard-runner overhead.
-    pub batch_step: PhaseStats,
     /// Everything else.
     pub other: PhaseStats,
 }
@@ -56,7 +54,6 @@ impl PhaseProfile {
             Phase::Decode => &mut self.decode,
             Phase::Display => &mut self.display,
             Phase::Governor => &mut self.governor,
-            Phase::BatchStep => &mut self.batch_step,
             Phase::Other => &mut self.other,
         }
     }
@@ -68,7 +65,6 @@ impl PhaseProfile {
             Phase::Decode => &self.decode,
             Phase::Display => &self.display,
             Phase::Governor => &self.governor,
-            Phase::BatchStep => &self.batch_step,
             Phase::Other => &self.other,
         }
     }
