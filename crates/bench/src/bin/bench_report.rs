@@ -282,13 +282,9 @@ fn measure_daemon(smoke: bool) -> (f64, f64, u64) {
             .expect("daemon submit");
     assert_eq!(status, 200, "daemon submit: {resp}");
     loop {
-        let (_, progress) = eavs_daemon::http::client::request_text(
-            &addr,
-            "GET",
-            &format!("/campaigns/{id}"),
-            "",
-        )
-        .expect("daemon poll");
+        let (_, progress) =
+            eavs_daemon::http::client::request_text(&addr, "GET", &format!("/campaigns/{id}"), "")
+                .expect("daemon poll");
         if progress.contains("\"phase\":\"complete\"") {
             break;
         }
@@ -511,8 +507,7 @@ fn main() {
         fleet_peak_shard_bytes as f64 / 1024.0,
     );
 
-    let (daemon_http_per_sec, daemon_direct_per_sec, daemon_session_runs) =
-        measure_daemon(smoke);
+    let (daemon_http_per_sec, daemon_direct_per_sec, daemon_session_runs) = measure_daemon(smoke);
     eprintln!(
         "  daemon          {daemon_http_per_sec:.0} session-runs/sec over HTTP vs \
          {daemon_direct_per_sec:.0} in-process ({daemon_session_runs} runs each)"

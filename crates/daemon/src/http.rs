@@ -147,9 +147,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("eavsd-http-{i}"))
-                    .spawn(move ||
-
-                        worker_loop(&rx, &handler))
+                    .spawn(move || worker_loop(&rx, &handler))
                     .expect("spawn http worker"),
             );
         }
@@ -543,7 +541,9 @@ mod tests {
         );
         stream.write_all(head.as_bytes()).unwrap();
         let mut response = String::new();
-        BufReader::new(stream).read_to_string(&mut response).unwrap();
+        BufReader::new(stream)
+            .read_to_string(&mut response)
+            .unwrap();
         assert!(response.starts_with("HTTP/1.1 413"), "{response}");
         assert!(response.contains("payload too large"));
         server.shutdown();
@@ -558,7 +558,9 @@ mod tests {
             .write_all(b"NOT-HTTP\r\nContent-Length: zzz\r\n\r\n")
             .unwrap();
         let mut response = String::new();
-        BufReader::new(stream).read_to_string(&mut response).unwrap();
+        BufReader::new(stream)
+            .read_to_string(&mut response)
+            .unwrap();
         assert!(
             response.starts_with("HTTP/1.1 400") || response.starts_with("HTTP/1.1 413"),
             "{response}"

@@ -215,9 +215,8 @@ impl Registry {
         for path in entries {
             let json = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            self.submit(&json).map_err(|e| {
-                format!("recovering {}: {e:?}", path.display())
-            })?;
+            self.submit(&json)
+                .map_err(|e| format!("recovering {}: {e:?}", path.display()))?;
         }
         Ok(())
     }
@@ -513,8 +512,11 @@ impl Registry {
             .collect();
         eavs_fleet::prom::write_all_into(&mut w, &pairs);
 
-        w.help("eavsd_campaigns", "Campaigns known to the daemon, by phase.")
-            .type_("eavsd_campaigns", "gauge");
+        w.help(
+            "eavsd_campaigns",
+            "Campaigns known to the daemon, by phase.",
+        )
+        .type_("eavsd_campaigns", "gauge");
         for phase in ["running", "complete", "cancelled", "failed"] {
             let n = campaigns
                 .values()
@@ -574,6 +576,54 @@ impl Registry {
     }
 }
 
+fn progress_json(id: &str, c: &CampaignState) -> Value {
+    let snapshot = ProgressSnapshot::capture(&c.spec, &c.aggregate);
+    let elapsed = c.elapsed_s();
+    let rate = if elapsed > 0.0 {
+        c.session_runs as f64 / elapsed
+    } else {
+        0.0
+    };
+    let (phase, error) = match &c.phase {
+        Phase::Failed(e) => ("failed", Value::str(e.as_str())),
+        other => (other.name(), Value::Null),
+    };
+    Value::Obj(vec![
+        ("id".into(), Value::str(id)),
+        ("name".into(), Value::str(&c.spec.name)),
+        ("phase".into(), Value::str(phase)),
+        ("error".into(), error),
+        ("shards_done".into(), Value::u64(snapshot.shards_done)),
+        ("shards_total".into(), Value::u64(snapshot.shards_total)),
+        ("sessions_done".into(), Value::u64(snapshot.sessions_done)),
+        ("sessions_total".into(), Value::u64(snapshot.sessions_total)),
+        ("resumed_shards".into(), Value::u64(c.resumed_shards)),
+        ("session_runs".into(), Value::u64(c.session_runs)),
+        ("elapsed_s".into(), Value::f64(elapsed)),
+        ("sessions_per_sec".into(), Value::f64(rate)),
+        (
+            "govs".into(),
+            Value::Arr(
+                snapshot
+                    .govs
+                    .iter()
+                    .map(|g| {
+                        Value::Obj(vec![
+                            ("governor".into(), Value::str(&g.governor)),
+                            ("sessions".into(), Value::u64(g.sessions)),
+                            ("mean_cpu_j".into(), Value::f64(g.mean_cpu_j)),
+                            ("mean_device_j".into(), Value::f64(g.mean_device_j)),
+                            ("mean_qoe".into(), Value::f64(g.mean_qoe)),
+                            ("rebuffer_events".into(), Value::u64(g.rebuffer_events)),
+                            ("miss_rate".into(), Value::f64(g.miss_rate)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,10 +631,7 @@ mod tests {
     use eavs_fleet::{run_campaign, run_shard};
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "eavsd-registry-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("eavsd-registry-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -613,7 +660,9 @@ mod tests {
         let id = claims[0].id.clone();
         for claim in claims {
             let out = run_shard(&claim.spec, claim.shard, &serial_runner).unwrap();
-            registry.complete(&claim.id, claim.shard, out.partial).unwrap();
+            registry
+                .complete(&claim.id, claim.shard, out.partial)
+                .unwrap();
         }
         registry.result(&id).unwrap()
     }
@@ -627,8 +676,7 @@ mod tests {
 
         let served = drain(&registry);
         let spec = CampaignSpec::smoke();
-        let direct =
-            run_campaign(&spec, &RunOptions::default(), &serial_runner).unwrap();
+        let direct = run_campaign(&spec, &RunOptions::default(), &serial_runner).unwrap();
         assert_eq!(served, checkpoint::encode(&direct.aggregate));
     }
 
@@ -740,11 +788,12 @@ mod tests {
             for _ in 0..2 {
                 let claim = registry.claim().unwrap();
                 let out = run_shard(&claim.spec, claim.shard, &serial_runner).unwrap();
-                registry.complete(&claim.id, claim.shard, out.partial).unwrap();
+                registry
+                    .complete(&claim.id, claim.shard, out.partial)
+                    .unwrap();
             }
             let spec = CampaignSpec::smoke();
-            let direct =
-                run_campaign(&spec, &RunOptions::default(), &serial_runner).unwrap();
+            let direct = run_campaign(&spec, &RunOptions::default(), &serial_runner).unwrap();
             checkpoint::encode(&direct.aggregate)
         };
 
@@ -784,11 +833,16 @@ mod tests {
         let submitted = registry.submit(&smoke_json()).unwrap();
         let claim = registry.claim().unwrap();
         let out = run_shard(&claim.spec, claim.shard, &serial_runner).unwrap();
-        registry.complete(&claim.id, claim.shard, out.partial).unwrap();
+        registry
+            .complete(&claim.id, claim.shard, out.partial)
+            .unwrap();
 
         let progress = registry.cancel(&submitted.id).unwrap();
         assert!(progress.contains("\"phase\":\"cancelled\""), "{progress}");
-        assert!(registry.claim().is_none(), "cancelled campaigns hand out nothing");
+        assert!(
+            registry.claim().is_none(),
+            "cancelled campaigns hand out nothing"
+        );
         let (status, _) = registry.result(&submitted.id).unwrap_err();
         assert_eq!(status, 409);
         assert!(!registry.has_open_work());
@@ -812,55 +866,10 @@ mod tests {
         drain(&registry);
         let page = registry.metrics_page();
         eavs_obs::check_conformance(&page).unwrap();
-        assert!(page.contains("eavsd_campaigns{phase=\"complete\"} 1"), "{page}");
+        assert!(
+            page.contains("eavsd_campaigns{phase=\"complete\"} 1"),
+            "{page}"
+        );
         assert!(page.contains("eavsd_session_runs_total"), "{page}");
     }
-}
-
-fn progress_json(id: &str, c: &CampaignState) -> Value {
-    let snapshot = ProgressSnapshot::capture(&c.spec, &c.aggregate);
-    let elapsed = c.elapsed_s();
-    let rate = if elapsed > 0.0 {
-        c.session_runs as f64 / elapsed
-    } else {
-        0.0
-    };
-    let (phase, error) = match &c.phase {
-        Phase::Failed(e) => ("failed", Value::str(e.as_str())),
-        other => (other.name(), Value::Null),
-    };
-    Value::Obj(vec![
-        ("id".into(), Value::str(id)),
-        ("name".into(), Value::str(&c.spec.name)),
-        ("phase".into(), Value::str(phase)),
-        ("error".into(), error),
-        ("shards_done".into(), Value::u64(snapshot.shards_done)),
-        ("shards_total".into(), Value::u64(snapshot.shards_total)),
-        ("sessions_done".into(), Value::u64(snapshot.sessions_done)),
-        ("sessions_total".into(), Value::u64(snapshot.sessions_total)),
-        ("resumed_shards".into(), Value::u64(c.resumed_shards)),
-        ("session_runs".into(), Value::u64(c.session_runs)),
-        ("elapsed_s".into(), Value::f64(elapsed)),
-        ("sessions_per_sec".into(), Value::f64(rate)),
-        (
-            "govs".into(),
-            Value::Arr(
-                snapshot
-                    .govs
-                    .iter()
-                    .map(|g| {
-                        Value::Obj(vec![
-                            ("governor".into(), Value::str(&g.governor)),
-                            ("sessions".into(), Value::u64(g.sessions)),
-                            ("mean_cpu_j".into(), Value::f64(g.mean_cpu_j)),
-                            ("mean_device_j".into(), Value::f64(g.mean_device_j)),
-                            ("mean_qoe".into(), Value::f64(g.mean_qoe)),
-                            ("rebuffer_events".into(), Value::u64(g.rebuffer_events)),
-                            ("miss_rate".into(), Value::f64(g.miss_rate)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }

@@ -58,8 +58,7 @@ pub fn spawn_local_workers(
                         };
                         match run_shard(&claim.spec, claim.shard, &*runner) {
                             Ok(out) => {
-                                let _ =
-                                    registry.complete(&claim.id, claim.shard, out.partial);
+                                let _ = registry.complete(&claim.id, claim.shard, out.partial);
                             }
                             Err(e) => registry.fail(&claim.id, claim.shard, &e),
                         }

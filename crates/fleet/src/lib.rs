@@ -38,10 +38,10 @@ pub mod prom;
 pub mod spec;
 
 pub use aggregate::{FleetAggregate, GovAggregate};
-pub use prior::PriorStore;
 pub use campaign::{
     run_campaign, run_shard, run_shard_warm, CampaignOutcome, CampaignStatus, RunOptions,
     ShardOutcome,
 };
+pub use prior::PriorStore;
 pub use progress::{GovSnapshot, ProgressSnapshot};
 pub use spec::CampaignSpec;

@@ -83,7 +83,10 @@ impl PriorStore {
 
     /// Total frames observed across all keys.
     pub fn total_frames(&self) -> u64 {
-        self.entries.values().map(FrameCycleStats::total_frames).sum()
+        self.entries
+            .values()
+            .map(FrameCycleStats::total_frames)
+            .sum()
     }
 
     /// The keys and summaries, in canonical (sorted) order.
@@ -213,7 +216,8 @@ pub fn save(path: &Path, store: &PriorStore) -> Result<(), String> {
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
     }
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, encode(store)).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
+    std::fs::write(&tmp, encode(store))
+        .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("cannot rename {} to {}: {e}", tmp.display(), path.display()))
 }
@@ -284,7 +288,9 @@ mod tests {
             assert_eq!(weight, PRIOR_WEIGHT_CAP);
         }
         // Unknown keys yield the empty prior.
-        assert!(store.session_prior("8000kbps-3840x2160@60", "film").is_empty());
+        assert!(store
+            .session_prior("8000kbps-3840x2160@60", "film")
+            .is_empty());
         // Sparse evidence keeps its true count as the weight.
         let mut sparse = PriorStore::new();
         let mut s = FrameCycleStats::new();

@@ -722,7 +722,12 @@ fn resolve_daemon_addr(flag: &Option<String>) -> String {
 
 /// One HTTP exchange with the daemon, with connection errors folded
 /// into a actionable message.
-fn daemon_request(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+fn daemon_request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<(u16, String), String> {
     eavs_daemon::http::client::request_text(addr, method, path, body)
         .map_err(|e| format!("cannot reach eavsd at {addr}: {e} (is `eavsd` running?)"))
 }
@@ -756,7 +761,9 @@ pub fn run_submit(args: &SubmitArgs) -> Result<String, String> {
         if resumed { "resumed" } else { "submitted" },
     );
     if !args.wait {
-        out.push_str(&format!("poll it with: eavsctl status {id} --addr {addr}\n"));
+        out.push_str(&format!(
+            "poll it with: eavsctl status {id} --addr {addr}\n"
+        ));
         return Ok(out);
     }
     loop {
@@ -1852,7 +1859,7 @@ mod tests {
         let out = run_fleet(&args).unwrap();
         assert!(out.contains("[prior written to"), "{out}");
         let store = eavs_fleet::prior::load(&path).unwrap();
-        assert!(store.len() > 0);
+        assert!(!store.is_empty());
         assert!(store.total_frames() > 0);
 
         // The emitted file warm-starts another campaign.
