@@ -285,8 +285,8 @@ impl<W: World> Simulation<W> {
     /// clock to the horizon and terminates. Unlike `run_until`, a prior
     /// stop request is not cleared — callers that resume after
     /// [`StepOutcome::Stopped`] reset it via [`Scheduler::stop`]'s
-    /// counterpart semantics in `run_until`, or simply treat the lane as
-    /// retired (the session kernel does the latter).
+    /// counterpart semantics in `run_until`, or simply treat the
+    /// simulation as finished (the session kernel does the latter).
     pub fn step_until(&mut self, horizon: SimTime) -> StepOutcome {
         match self.sched.queue.peek_time() {
             None => StepOutcome::QueueEmpty,
