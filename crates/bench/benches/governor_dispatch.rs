@@ -3,9 +3,7 @@
 //!
 //! Both paths step the same [`DispatchLanes`] workload (every
 //! baseline governor, deterministic load stream), so the comparison
-//! isolates dispatch and frequency-selection strategy. `bench_report`
-//! folds the same measurement into `BENCH_sim.json` as
-//! `governor_dispatch`.
+//! isolates dispatch and frequency-selection strategy.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use eavs_bench::dispatch::{DispatchLanes, WIDTHS};

@@ -38,9 +38,6 @@
 //!   session (the F28 probe workload): per-component joules, RRC
 //!   promotions, and the wall-clock cost of the powered run. Accounting
 //!   is post-hoc, so this also keeps an eye on its overhead.
-//! * `governor_dispatch` — ns per baseline-governor decision through the
-//!   dyn trait object and the devirtualized enum kernel, at widths
-//!   1/8/64 (same workload as the `governor_dispatch` criterion bench).
 //!
 //! `--smoke` writes `BENCH_sim.smoke.json` instead, so a quick CI pass
 //! never clobbers the full-mode report.
@@ -66,7 +63,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use eavs_bench::dispatch;
 use eavs_bench::harness::{self, governor, manifest_1080p30, SEED};
 use eavs_core::session::{SessionScratch, SessionState, StreamingSession};
 use eavs_sim::prelude::*;
@@ -368,25 +364,6 @@ fn measure_power() -> (eavs_core::SessionReport, f64) {
     (report, started.elapsed().as_secs_f64())
 }
 
-/// The governor dispatch comparison (dyn trait object vs devirtualized
-/// enum) over the shared [`dispatch`] workload — the same lanes the
-/// `governor_dispatch` criterion bench steps. Returns best-of-reps
-/// ns/decision arrays indexed like [`dispatch::WIDTHS`].
-fn measure_dispatch(smoke: bool) -> ([f64; 3], [f64; 3]) {
-    let (steps, reps) = if smoke { (2_000, 3) } else { (20_000, 5) };
-    let mut dyn_ns = [0.0; 3];
-    let mut enum_ns = [0.0; 3];
-    for (i, width) in dispatch::WIDTHS.into_iter().enumerate() {
-        (dyn_ns[i], enum_ns[i]) = dispatch::measure_ns_per_decision(width, steps, reps);
-    }
-    (dyn_ns, enum_ns)
-}
-
-/// Formats a 3-wide ns/decision array as a JSON array literal.
-fn ns_array(ns: &[f64; 3]) -> String {
-    format!("[{:.1}, {:.1}, {:.1}]", ns[0], ns[1], ns[2])
-}
-
 /// One profiled 1080p30 session; returns the phase-breakdown JSON.
 fn measure_profile(secs: u64) -> String {
     let report = StreamingSession::builder(governor("eavs"))
@@ -537,14 +514,6 @@ fn main() {
         power.radio_j, power.radio_promotions, power.display_j, power.decoder_j,
     );
 
-    let (dispatch_dyn_ns, dispatch_enum_ns) = measure_dispatch(smoke);
-    eprintln!(
-        "  dispatch        dyn {} / enum {} ns per decision (widths {:?})",
-        ns_array(&dispatch_dyn_ns),
-        ns_array(&dispatch_enum_ns),
-        dispatch::WIDTHS,
-    );
-
     let session = eavs_bench::cache::stats();
     let segment = eavs_trace::memo::segment_cache_stats();
     let trace = eavs_trace::memo::trace_cache_stats();
@@ -599,11 +568,6 @@ fn main() {
             "  }},\n",
             "  \"segment_cache\": {{ \"hits\": {segment_hits}, \"misses\": {segment_misses} }},\n",
             "  \"trace_cache\": {{ \"hits\": {trace_hits}, \"misses\": {trace_misses} }},\n",
-            "  \"governor_dispatch\": {{\n",
-            "    \"widths\": [1, 8, 64],\n",
-            "    \"dyn_ns_per_decision\": {dispatch_dyn_ns},\n",
-            "    \"enum_ns_per_decision\": {dispatch_enum_ns}\n",
-            "  }},\n",
             "  \"power\": {{\n",
             "    \"radio_j\": {power_radio_j:.3},\n",
             "    \"radio_promotions\": {power_promotions},\n",
@@ -656,8 +620,6 @@ fn main() {
         segment_misses = segment.misses,
         trace_hits = trace.hits,
         trace_misses = trace.misses,
-        dispatch_dyn_ns = ns_array(&dispatch_dyn_ns),
-        dispatch_enum_ns = ns_array(&dispatch_enum_ns),
         power_radio_j = power.radio_j,
         power_promotions = power.radio_promotions,
         power_display_j = power.display_j,

@@ -1,4 +1,4 @@
-//! Shared workload for the governor dispatch micro-benchmarks.
+//! Workload for the `governor_dispatch` criterion bench.
 //!
 //! Two code paths make one baseline-governor decision per lane per
 //! step, over identical deterministic load streams:
@@ -9,10 +9,6 @@
 //! * **enum** — [`GovernorKind::decide`] over a cached [`DecisionLut`]:
 //!   static dispatch through one predictable `match`, selection over the
 //!   precomputed frequency column.
-//!
-//! The same lane state and stream drive both the `governor_dispatch`
-//! criterion bench and the `governor_dispatch` object in
-//! `BENCH_sim.json`, so the two reports measure the same thing.
 
 use eavs_cpu::cluster::PolicyLimits;
 use eavs_cpu::load::LoadSample;
@@ -106,33 +102,6 @@ impl DispatchLanes {
         }
         sum
     }
-}
-
-/// Best-of-`reps` nanoseconds per decision for (dyn, enum) at one
-/// width, timing `steps` sweeps per rep. Used by `bench_report` to fold
-/// the dispatch comparison into `BENCH_sim.json`; the criterion bench
-/// measures the same [`DispatchLanes`] steps with its own loop.
-pub fn measure_ns_per_decision(width: usize, steps: u64, reps: u32) -> (f64, f64) {
-    let mut lanes = DispatchLanes::new(width);
-    let decisions = (steps * width as u64) as f64;
-    let mut time = |f: &mut dyn FnMut(&mut DispatchLanes) -> usize| {
-        // Warm-up sweep, then best-of-reps timed sweeps.
-        for _ in 0..steps / 4 {
-            std::hint::black_box(f(&mut lanes));
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let started = std::time::Instant::now();
-            for _ in 0..steps {
-                std::hint::black_box(f(&mut lanes));
-            }
-            best = best.min(started.elapsed().as_nanos() as f64 / decisions);
-        }
-        best
-    };
-    let dyn_ns = time(&mut |l| l.step_dyn());
-    let enum_ns = time(&mut |l| l.step_enum());
-    (dyn_ns, enum_ns)
 }
 
 #[cfg(test)]
