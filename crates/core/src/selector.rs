@@ -29,20 +29,38 @@ pub struct DemandItem {
 /// Items must be sorted by deadline; in a decode pipeline they naturally
 /// are (frames display in order).
 pub fn required_hz(now: SimTime, items: &[DemandItem]) -> f64 {
+    // The result is INFINITY if any loaded prefix is due, else the max of
+    // the prefix rates. Cycles are finite and non-negative, so `cum` never
+    // goes NaN and the max does not depend on the order the rates are
+    // taken in: the whole list (nearly always the binding prefix in a
+    // decode pipeline) goes first, and every shorter prefix whose rate
+    // provably cannot exceed it skips its two divisions.
     let mut cum = 0.0;
-    let mut worst: f64 = 0.0;
     for item in items {
         cum += item.cycles.get();
-        if cum <= 0.0 {
+        if cum > 0.0 && item.deadline <= now {
+            return f64::INFINITY;
+        }
+    }
+    let Some((last, head)) = items.split_last() else {
+        return 0.0;
+    };
+    let rate = |cum: f64, deadline: SimTime| cum / (deadline - now).as_secs_f64();
+    let mut worst: f64 = 0.0;
+    if cum > 0.0 {
+        worst = rate(cum, last.deadline);
+    }
+    // `cum < bound·nanos` puts the exact rate `cum / (nanos/1e9)` below
+    // `worst` with ~2^-20 to spare against the handful of roundings on
+    // either side, so its rounded value cannot raise the max.
+    let bound = worst * (1.0 - 1.0 / (1u64 << 20) as f64) / 1e9;
+    cum = 0.0;
+    for item in head {
+        cum += item.cycles.get();
+        if cum <= 0.0 || cum < bound * (item.deadline - now).as_nanos() as f64 {
             continue;
         }
-        match item.deadline.checked_duration_since(now) {
-            None => return f64::INFINITY,
-            Some(slack) if slack.is_zero() => return f64::INFINITY,
-            Some(slack) => {
-                worst = worst.max(cum / slack.as_secs_f64());
-            }
-        }
+        worst = worst.max(rate(cum, item.deadline));
     }
     worst
 }

@@ -119,6 +119,76 @@ proptest! {
         prop_assert!(later >= base - 1e-9);
     }
 
+    /// required_hz skips prefixes that provably cannot bind; it equals
+    /// the plain prefix walk bit for bit, with exact ties, empty items
+    /// and overdue items in the list.
+    #[test]
+    fn required_hz_matches_the_prefix_walk(
+        now_us in 0u64..200_000,
+        start_us in 0u64..300_000,
+        steps in proptest::collection::vec((0u8..4, 0u64..40, 1.0f64..3e8, 0u8..3), 0..12),
+    ) {
+        let now = SimTime::from_micros(now_us);
+        let mut deadline = SimTime::from_micros(start_us);
+        // Multiples of 10 Mcycles on whole-millisecond deadlines make
+        // exact rate ties between prefixes common.
+        let items: Vec<DemandItem> = steps
+            .iter()
+            .map(|&(k, gap_ms, raw, exact)| {
+                deadline += SimDuration::from_millis(gap_ms);
+                let cycles = if exact == 0 { raw } else { f64::from(k) * 1e7 };
+                DemandItem { cycles: Cycles::new(cycles), deadline }
+            })
+            .collect();
+        let mut naive = 0.0f64;
+        let mut cum = 0.0;
+        for item in &items {
+            cum += item.cycles.get();
+            if cum <= 0.0 {
+                continue;
+            }
+            match item.deadline.checked_duration_since(now) {
+                Some(slack) if !slack.is_zero() => {
+                    naive = naive.max(cum / slack.as_secs_f64());
+                }
+                _ => {
+                    naive = f64::INFINITY;
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(required_hz(now, &items).to_bits(), naive.to_bits());
+    }
+
+    /// A shorter prefix whose rate beats the whole list's by a hair (a
+    /// relative 2^-10 down to 2^-52) is the result; the pruning may not
+    /// mistake it for a loser.
+    #[test]
+    fn required_hz_keeps_a_prefix_that_barely_binds(
+        mcycles in 1.0f64..300.0,
+        first_us in 1u64..40_000,
+        gap_us in 1u64..200_000,
+        shift in 10i32..53,
+    ) {
+        let now = SimTime::from_millis(5);
+        let (s1, s2) = (first_us as f64, (first_us + gap_us) as f64);
+        let c1 = mcycles * 1e6;
+        let c2 = (c1 * s2 / s1 * (1.0 - 2f64.powi(-shift)) - c1).max(0.0);
+        let items = [
+            DemandItem {
+                cycles: Cycles::new(c1),
+                deadline: now + SimDuration::from_micros(first_us),
+            },
+            DemandItem {
+                cycles: Cycles::new(c2),
+                deadline: now + SimDuration::from_micros(first_us + gap_us),
+            },
+        ];
+        let rate = |cum: f64, d: SimTime| cum / (d - now).as_secs_f64();
+        let naive = rate(c1, items[0].deadline).max(rate(c1 + c2, items[1].deadline));
+        prop_assert_eq!(required_hz(now, &items).to_bits(), naive.to_bits());
+    }
+
     /// The selector output is always within limits, and jumps up
     /// immediately when demand exceeds the current OPP's rate.
     #[test]
