@@ -10,12 +10,13 @@
 //!   Sessions here use distinct seeds and bypass the session cache so the
 //!   number reflects simulation, not memoization. On a one-core host the
 //!   pool number is scheduler-sensitive; `serial_sessions_per_sec` is the
-//!   same workload run serially on one thread through `run()` — the
-//!   stable baseline the CI perf floor compares the kernel against.
+//!   same workload run serially on one thread through `run()`.
 //! * `kernel_sessions_per_sec` / `kernel_allocations_per_session` — the
-//!   same sessions driven through the step kernel
+//!   same sessions driven by hand through the step kernel
 //!   (`with_scratch → step* → finish_into`) over one recycled
-//!   `SessionScratch` on one thread.
+//!   `SessionScratch` on one thread. `run()` is that same loop over a
+//!   fresh scratch, so the two numbers time the same code through two
+//!   drivers and should agree within noise.
 //! * `allocations_per_session` — heap allocations per simulated session,
 //!   counted by the binary's global allocator during the same run.
 //! * `run_all_wall_s` / `run_all_warm_wall_s` — wall-clock seconds to
@@ -51,10 +52,13 @@
 //! exits 1. CI uses this instead of wrapping the command in `timeout`,
 //! which could kill the process mid-write and leave a truncated report.
 //!
-//! `--min-kernel-speedup X` is the CI perf floor: after the report is
-//! written, the kernel's sessions/sec is compared against the serial
-//! `run()` reference over the same warmed sessions, and the process
-//! exits 1 if the ratio falls below X.
+//! `--min-kernel-speedup X` is a parity check, not a regression gate:
+//! after the report is written, the hand-driven kernel's sessions/sec is
+//! compared against the serial `run()` reference over the same warmed
+//! sessions, and the process exits 1 if the ratio falls below X. Both
+//! sides run the same kernel, so a slower kernel moves both and passes;
+//! the check only catches a `run()` that stops matching the hand-driven
+//! loop (or the reverse).
 //!
 //! Usage: `bench_report [--smoke] [--profile] [--budget-s N]
 //! [--min-kernel-speedup X]`. `EAVS_JOBS` sizes the pool as usual.
@@ -133,12 +137,13 @@ fn measure_events_per_sec(chain_len: u64, repeats: u32) -> f64 {
 /// simulation throughput; also returns allocations per session.
 fn measure_sessions_per_sec(sessions: usize, secs_each: u64) -> (f64, f64) {
     let manifest = std::sync::Arc::new(manifest_1080p30(secs_each));
-    // Pre-generate the shared segments so the allocation count reflects
-    // the session hot path, not one-time trace generation.
-    {
+    // Pre-generate every timed seed's shared segments so the timing and
+    // the allocation count reflect the session hot path, not one-time
+    // trace generation.
+    for i in 0..sessions {
         let warmup = StreamingSession::builder(governor("eavs"))
             .manifest(std::sync::Arc::clone(&manifest))
-            .seed(SEED)
+            .seed(SEED + i as u64)
             .run();
         std::hint::black_box(warmup.events_processed);
     }
@@ -316,8 +321,8 @@ fn measure_daemon(smoke: bool) -> (f64, f64, u64) {
 /// The pool-based [`measure_sessions_per_sec`] number depends on how
 /// the OS interleaves the worker thread with the helping caller (on a
 /// one-core box the split is scheduler luck and the number swings 2-3x
-/// run to run), so this serial figure is the stable single-thread
-/// baseline the kernel floor compares against.
+/// run to run), so this serial figure is the single-thread side of the
+/// kernel parity check.
 fn measure_scalar_reference(sessions: usize, secs_each: u64) -> f64 {
     let manifest = std::sync::Arc::new(manifest_1080p30(secs_each));
     let started = Instant::now();
@@ -445,7 +450,7 @@ fn main() {
     let kernel_sessions = if smoke { sessions.max(16) } else { sessions };
 
     // One untimed pass warms every seed's segments, so neither side of
-    // the kernel floor pays for trace generation. The two sides then
+    // the kernel parity check pays for trace generation. The two sides then
     // alternate and each keeps its best rep, like the event chain: a
     // window of a few milliseconds is easily cut by host preemption.
     measure_scalar_reference(kernel_sessions, session_secs);
@@ -658,12 +663,14 @@ fn main() {
     std::fs::write(&path, &json).expect("write bench report");
     eprintln!("wrote {}", path.display());
 
-    // Soft perf floor (CI): the step kernel over one recycled scratch
-    // must sustain at least `min` times the serial `run()` reference on
-    // the same warmed sessions. Compared against a dedicated serial run
-    // rather than the pooled number above so both sides see one thread
-    // and the same machine state; enforced after the report is written
-    // so a failing run still leaves the numbers behind.
+    // Parity check (CI): the hand-driven step kernel over one recycled
+    // scratch must sustain at least `min` times the serial `run()`
+    // reference on the same warmed sessions. Both drive the same kernel,
+    // so this catches the two drivers drifting apart, not a slower
+    // kernel. Compared against a dedicated serial run rather than the
+    // pooled number above so both sides see one thread and the same
+    // machine state; enforced after the report is written so a failing
+    // run still leaves the numbers behind.
     if let Some(min) = min_kernel_speedup {
         let speedup = kernel_sessions_per_sec / serial_sessions_per_sec.max(1e-9);
         eprintln!(

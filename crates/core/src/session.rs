@@ -549,22 +549,15 @@ impl SessionBuilder {
     }
 
     /// Runs the session to completion and reports: `with_scratch →
-    /// step* → finish_into` on this thread's recycled [`SessionScratch`],
-    /// so consecutive sessions on one pool worker reuse each other's
-    /// buffers. The scratch is taken out of its slot for the run: a
-    /// panicking session merely leaves an empty one behind.
+    /// step* → finish_into` on a fresh [`SessionScratch`]. Recycling one
+    /// scratch per thread saves a few allocations per session but showed
+    /// no end-to-end gain, so callers that want it drive the kernel
+    /// themselves.
     pub fn run(self) -> SessionReport {
-        thread_local! {
-            static SCRATCH: std::cell::Cell<SessionScratch> = std::cell::Cell::default();
-        }
-        SCRATCH.with(|slot| {
-            let mut scratch = slot.take();
-            let mut state = SessionState::with_scratch(self, &mut scratch);
-            while state.step() {}
-            let report = state.finish_into(&mut scratch);
-            slot.set(scratch);
-            report
-        })
+        let mut scratch = SessionScratch::default();
+        let mut state = SessionState::with_scratch(self, &mut scratch);
+        while state.step() {}
+        state.finish_into(&mut scratch)
     }
 }
 
@@ -583,9 +576,8 @@ impl StreamingSession {
 /// Threading one `SessionScratch` through [`SessionState::with_scratch`]
 /// / [`SessionState::finish_into`] lets each session inherit the
 /// previous one's backing stores (cleared, not freed), driving
-/// steady-state allocations per session toward zero.
-/// [`SessionBuilder::run`] keeps one per thread. Buffer contents never
-/// reach a report, so reuse is invisible in the results.
+/// steady-state allocations per session toward zero. Buffer contents
+/// never reach a report, so reuse is invisible in the results.
 #[derive(Default)]
 pub struct SessionScratch {
     /// Backing store for [`PipelineSnapshot::upcoming`].
@@ -2565,10 +2557,10 @@ mod tests {
     }
 
     #[test]
-    fn recycled_thread_scratch_is_invisible() {
-        // Back-to-back runs on one thread inherit each other's scratch
+    fn recycled_scratch_is_invisible() {
+        // Back-to-back sessions over one scratch inherit each other's
         // buffers (sized by different governors, ladders and lengths);
-        // each must match a run on fresh, empty scratch byte for byte.
+        // each must match `run()` on fresh, empty scratch byte for byte.
         let builders: [fn() -> SessionBuilder; 4] = [
             || {
                 StreamingSession::builder(eavs_with(EavsConfig {
@@ -2609,16 +2601,14 @@ mod tests {
         ];
         let fresh: Vec<String> = builders
             .iter()
-            .map(|mk| {
-                let mut scratch = SessionScratch::default();
-                let mut state = SessionState::with_scratch(mk(), &mut scratch);
-                while state.step() {}
-                format!("{:?}", state.finish_into(&mut scratch))
-            })
+            .map(|mk| format!("{:?}", mk().run()))
             .collect();
+        let mut scratch = SessionScratch::default();
         for _ in 0..2 {
             for (mk, want) in builders.iter().zip(&fresh).rev() {
-                assert_eq!(&format!("{:?}", mk().run()), want);
+                let mut state = SessionState::with_scratch(mk(), &mut scratch);
+                while state.step() {}
+                assert_eq!(&format!("{:?}", state.finish_into(&mut scratch)), want);
             }
         }
     }
